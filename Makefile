@@ -98,3 +98,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzAffine -fuzztime=30s ./internal/expr/
 	$(GO) test -run=^$$ -fuzz=FuzzNestValidate -fuzztime=30s ./internal/ir/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/parser/
+	$(GO) test -run=^$$ -fuzz=FuzzFirstInWindow -fuzztime=30s ./internal/cme/

@@ -141,6 +141,12 @@ func main() {
 		IdleTimeout:       *idleTO,
 	}
 
+	// The drain handler goes in before the listener exists: a SIGTERM
+	// that arrives as soon as "listening on" is printed must drain, not
+	// kill the process with the default signal action.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		cliutil.Fatal("tilingd", err)
@@ -164,8 +170,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		cliutil.Fatal("tilingd", err)

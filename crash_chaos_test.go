@@ -10,6 +10,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -295,5 +297,64 @@ func TestCrashChaosCorruptJournalBoots(t *testing.T) {
 	st, _, _, err := postTile(t, addr, `{"kernel":"MM","size":48,"cache":"8k","seed":1,"maxEvaluations":40}`, "")
 	if err != nil || st != http.StatusOK {
 		t.Fatalf("tile over quarantined journal: status %d err %v", st, err)
+	}
+}
+
+// TestCrashChaosSIGTERMAtStartup sends SIGTERM the moment the daemon
+// prints "listening on": the drain handler must already be installed, so
+// the daemon exits 0 through a drain instead of dying of the signal.
+func TestCrashChaosSIGTERMAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTilingd(t)
+	for round := 0; round < 5; round++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-state-dir", t.TempDir())
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("start tilingd: %v", err)
+		}
+		t.Cleanup(func() { _ = cmd.Process.Kill() })
+		// A daemon that never exits (or a drain that hangs) is killed
+		// after the same 20 s startTilingd allows, closing stderr so the
+		// read loop below ends and the round fails instead of blocking.
+		var timedOut atomic.Bool
+		deadline := time.AfterFunc(20*time.Second, func() {
+			timedOut.Store(true)
+			_ = cmd.Process.Kill()
+		})
+		var out strings.Builder
+		buf := make([]byte, 4096)
+		signalled := false
+		for {
+			n, rerr := stderr.Read(buf)
+			out.Write(buf[:n])
+			if !signalled && strings.Contains(out.String(), "listening on ") {
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatalf("round %d: signal: %v", round, err)
+				}
+				signalled = true
+			}
+			if rerr != nil {
+				break
+			}
+		}
+		err = cmd.Wait()
+		deadline.Stop()
+		if timedOut.Load() {
+			t.Fatalf("round %d: daemon still running 20 s after start (signalled: %v):\n%s", round, signalled, out.String())
+		}
+		if !signalled {
+			t.Fatalf("round %d: daemon exited before listening:\n%s", round, out.String())
+		}
+		if err != nil {
+			t.Fatalf("round %d: SIGTERM at start-up: %v, want exit 0\n%s", round, err, out.String())
+		}
+		if !strings.Contains(out.String(), "drained") {
+			t.Fatalf("round %d: no drain after SIGTERM at start-up:\n%s", round, out.String())
+		}
 	}
 }

@@ -7,9 +7,14 @@
 //   - The point solver (this file): the paper's "traversing the iteration
 //     space" solution method (§2.2–2.3). For one iteration point and one
 //     reference it decides hit / compulsory miss / replacement miss exactly
-//     for a k-way LRU cache, in expected O(assoc·sets/refs) time per point
-//     independent of problem size. Combined with simple random sampling
-//     (internal/sampling) this is the fast CME solver the paper builds.
+//     for a k-way LRU cache by walking the accesses before it in reverse
+//     execution order, expected O(assoc·sets/refs) of them, independent of
+//     problem size. On a direct-mapped cache the walk does not visit those
+//     accesses one by one: it solves each reference's next access to the
+//     target set in closed form along the innermost loop (jump.go), so it
+//     pays O(refs) per innermost run it crosses. Combined with simple
+//     random sampling (internal/sampling) this is the fast CME solver the
+//     paper builds.
 //
 //   - The symbolic equation generator (gen.go): the diophantine
 //     equalities/inequalities themselves — compulsory and replacement
@@ -26,6 +31,7 @@ package cme
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cachesim"
@@ -88,11 +94,18 @@ type Analyzer struct {
 	lineShift uint
 	setMask   int64
 
-	refs   []refInfo
-	arrays map[*ir.Array]*arrInfo
+	refs []refInfo
+	// groups lists each referenced array once, in first-use order, with
+	// the references to it (see isFirstAccess).
+	groups []arrGroup
 	// coordRefs[c] lists the references whose address depends on space
 	// coordinate c (rebuilt on every Rebind).
 	coordRefs [][]coordRef
+	// strides[r] is reference r's innermost-loop stride, prepared for the
+	// jump walk's window solver (rebuilt on every Rebind). jumpOK enables
+	// the jump: the cache is direct-mapped and its span fits the solver.
+	strides []setStride
+	jumpOK  bool
 
 	// Scratch buffers.
 	walkPoint []int64
@@ -146,8 +159,9 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		conflicts: make([]int64, 0, cfg.Assoc),
 		pinned:    make([]int64, nest.Depth()),
 		walkCap:   DefaultWalkCap,
+		jumpOK:    cfg.Assoc == 1 && cfg.NumSets()*cfg.LineSize <= maxJumpSpan,
 	}
-	a.arrays = make(map[*ir.Array]*arrInfo)
+	a.groups = make([]arrGroup, 0, len(nest.Refs))
 	maxRank := 0
 	for i := range nest.Refs {
 		ri, err := buildRefInfo(&nest.Refs[i], nest.Depth())
@@ -156,12 +170,23 @@ func NewAnalyzer(nest *ir.Nest, space iterspace.Space, cfg cache.Config) (*Analy
 		}
 		a.refs[i] = ri
 		arr := nest.Refs[i].Array
-		if _, ok := a.arrays[arr]; !ok {
-			a.arrays[arr] = newArrInfo(arr)
+		if !slices.ContainsFunc(a.groups, func(g arrGroup) bool { return g.arr == arr }) {
+			a.groups = append(a.groups, arrGroup{arr: arr, info: newArrInfo(arr)})
 		}
 		if r := arr.Rank(); r > maxRank {
 			maxRank = r
 		}
+	}
+	// Each group's references, laid out back to back in one slice.
+	members := make([]int, 0, len(nest.Refs))
+	for g := range a.groups {
+		start := len(members)
+		for i := range nest.Refs {
+			if nest.Refs[i].Array == a.groups[g].arr {
+				members = append(members, i)
+			}
+		}
+		a.groups[g].refs = members[start:len(members):len(members)]
 	}
 	a.subsBuf = make([]int64, maxRank)
 	if err := a.bindSpace(space); err != nil {
@@ -211,6 +236,7 @@ func (a *Analyzer) bindSpace(space iterspace.Space) error {
 			}
 		}
 	}
+	a.bindStrides()
 	return nil
 }
 
@@ -242,10 +268,10 @@ func (a *Analyzer) Rebind(space iterspace.Space) error {
 // aggregate without double-counting the parent's history.
 func (a *Analyzer) Clone() *Analyzer {
 	out := *a
-	// Space-independent immutable state (nest, arrays, each ref's coef and
-	// inv) is shared; every mutable buffer is re-created so the clone is
-	// fully independent of the parent, including under a later Rebind of
-	// either.
+	// Space-independent immutable state (nest, array groups, each ref's
+	// coef and inv) is shared; every mutable buffer is re-created so the
+	// clone is fully independent of the parent, including under a later
+	// Rebind of either.
 	out.refs = make([]refInfo, len(a.refs))
 	copy(out.refs, a.refs)
 	for i := range out.refs {
@@ -254,7 +280,8 @@ func (a *Analyzer) Clone() *Analyzer {
 	out.conflicts = make([]int64, 0, cap(a.conflicts))
 	out.pinned = make([]int64, len(a.pinned))
 	out.subsBuf = make([]int64, len(a.subsBuf))
-	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr, out.coordRefs = nil, nil, nil, nil, nil
+	out.walkPoint, out.prevPoint, out.minPoint, out.liveAddr = nil, nil, nil, nil
+	out.coordRefs, out.strides = nil, nil
 	out.workers, out.pointBuf = nil, nil
 	if err := out.bindSpace(a.space); err != nil {
 		// a.space was accepted when the parent bound it.
@@ -433,56 +460,67 @@ func (a *Analyzer) stepBack() bool {
 	return true
 }
 
-// walkDirect is the direct-mapped (assoc = 1) fast path of the backward
-// interference walk: with a single way per set, the first other line
-// landing in the target set evicts the reuse source, so no conflict list
-// is kept at all — the walk is a pure scan over live addresses.
+// walkDirect is the direct-mapped (assoc = 1) backward interference walk:
+// with a single way per set, the first earlier access landing in the
+// target set decides the outcome — the same line is a hit, any other line
+// evicted it. The walk crosses one innermost-loop run at a time: jumpScan
+// solves each reference's first access to the target set in the run in
+// closed form (probeScan probes runs touching negative addresses
+// instead), and a run with no such access is skipped whole.
+//
+// The accounting is the per-access walk's: steps counts every access
+// passed over before the deciding one, and the cap fires exactly when
+// that count reaches walkCap, so WalkStats and CapHits match
+// ClassifyReference.
 func (a *Analyzer) walkDirect(p []int64, refIdx int, line int64) cachesim.Outcome {
 	set := a.cfg.SetOfLine(line)
 	a.startWalk(p)
-	lineSize, nsets := a.cfg.LineSize, a.nsets
-	lineShift, setMask := a.lineShift, a.setMask
-	live := a.liveAddr
-	walkCap := a.walkCap
-	ref := refIdx
+	capAt := max(a.walkCap, 1)
+	nrefs := len(a.refs)
+	first := refIdx - 1 // highest reference still to visit at the walk point
 	var steps uint64
 	for {
-		ref--
-		if ref < 0 {
-			if !a.stepBack() {
-				// No earlier access to the line exists, contradicting the
-				// first-access test: unreachable by construction.
-				panic("cme: walked past the start of a non-compulsory access")
-			}
-			ref = len(a.refs) - 1
-		}
-		if q := live[ref]; q >= 0 {
-			ql := q >> lineShift
-			if ql == line {
-				a.walkSteps += steps
-				return cachesim.Hit
-			}
-			if ql&setMask == set {
-				a.walkSteps += steps
-				return cachesim.ReplacementMiss
-			}
+		run := a.space.InnerRun(a.walkPoint)
+		var ref int
+		var j int64
+		var found bool
+		if a.canJump(line, run) {
+			ref, j, found = a.jumpScan(first, run, set)
 		} else {
-			ql := q / lineSize
-			if ql == line {
-				a.walkSteps += steps
-				return cachesim.Hit
+			ref, j, found = a.probeScan(first, run, set)
+		}
+		if found {
+			// Accesses passed over before (j, ref): refs first..ref+1 at
+			// the walk point, or all of the walk point's first+1, then
+			// j-1 whole points, then refs nrefs-1..ref+1 at point j.
+			passed := uint64(first - ref)
+			if j > 0 {
+				passed = uint64(first+1) + uint64(j-1)*uint64(nrefs) + uint64(nrefs-1-ref)
 			}
-			if ql%nsets == set {
-				a.walkSteps += steps
+			if steps+passed >= capAt {
+				a.walkSteps += capAt
+				a.capHits++
 				return cachesim.ReplacementMiss
 			}
+			a.walkSteps += steps + passed
+			if a.cfg.LineOf(a.liveAddr[ref]-j*a.strides[ref].c) == line {
+				return cachesim.Hit
+			}
+			return cachesim.ReplacementMiss
 		}
-		steps++
-		if steps >= walkCap {
-			a.walkSteps += steps
+		steps += uint64(first+1) + uint64(run)*uint64(nrefs)
+		if steps >= capAt {
+			a.walkSteps += capAt
 			a.capHits++
 			return cachesim.ReplacementMiss
 		}
+		a.skipRun(run)
+		if !a.stepBack() {
+			// No earlier access to the line exists, contradicting the
+			// first-access test: unreachable by construction.
+			panic("cme: walked past the start of a non-compulsory access")
+		}
+		first = nrefs - 1
 	}
 }
 

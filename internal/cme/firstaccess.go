@@ -5,6 +5,13 @@ import (
 	"repro/internal/iterspace"
 )
 
+// arrGroup is one array the nest references, with the references to it.
+type arrGroup struct {
+	arr  *ir.Array
+	info *arrInfo
+	refs []int
+}
+
 // arrInfo caches the layout data needed for allocation-free subscript
 // inversion of one array.
 type arrInfo struct {
@@ -53,19 +60,20 @@ func (ai *arrInfo) delinearize(idx int64, subs []int64) bool {
 // memory line — i.e. a compulsory miss.
 //
 // The test is exact and runs in O(refs × elementsPerLine × dims): a cache
-// line holds at most LineSize/Elem array elements; for each reference and
-// each such element we invert the (single-variable) subscripts to the loop
-// variables they pin and ask the space for the lexicographically earliest
-// point with those pins. If any such point precedes p (or coincides with p
-// at an earlier body reference), the line was touched before.
+// line holds at most LineSize/Elem array elements; for each array and each
+// such element we invert the element index to subscripts once, then, per
+// reference to that array, invert the (single-variable) subscripts to the
+// loop variables they pin and ask the space for the lexicographically
+// earliest point with those pins. If any such point precedes p (or
+// coincides with p at an earlier body reference), the line was touched
+// before.
 func (a *Analyzer) isFirstAccess(p []int64, refIdx int, line int64) bool {
 	lineStart := line * a.cfg.LineSize
 	lineEnd := lineStart + a.cfg.LineSize - 1
 
-	for rj := range a.refs {
-		ref := &a.nest.Refs[rj]
-		arr := ref.Array
-		ai := a.arrays[arr]
+	for gi := range a.groups {
+		g := &a.groups[gi]
+		arr := g.arr
 		b := arr.Base + arr.BasePad
 		elem := arr.Elem
 
@@ -81,21 +89,23 @@ func (a *Analyzer) isFirstAccess(p []int64, refIdx int, line int64) bool {
 		k1 := (lineEnd - b) / elem
 		subs := a.subsBuf[:len(arr.Dims)]
 		for k := k0; k <= k1; k++ {
-			if !ai.delinearize(k, subs) {
+			if !g.info.delinearize(k, subs) {
 				continue // index in padding or past the array
 			}
-			if !a.pinsFor(rj, subs) {
-				continue // element unreachable by this reference
-			}
-			if !a.space.MinWithPinned(a.pinned, a.minPoint) {
-				continue // pinned values outside the iteration space
-			}
-			switch iterspace.Compare(a.minPoint, p) {
-			case -1:
-				return false
-			case 0:
-				if rj < refIdx {
+			for _, rj := range g.refs {
+				if !a.pinsFor(rj, subs) {
+					continue // element unreachable by this reference
+				}
+				if !a.space.MinWithPinned(a.pinned, a.minPoint) {
+					continue // pinned values outside the iteration space
+				}
+				switch iterspace.Compare(a.minPoint, p) {
+				case -1:
 					return false
+				case 0:
+					if rj < refIdx {
+						return false
+					}
 				}
 			}
 		}

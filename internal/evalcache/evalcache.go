@@ -22,9 +22,12 @@
 // (quarantine sentinels, poisoned +Inf results); the cache itself only
 // stores and recalls.
 //
-// Eviction is per-shard LRU with a hard total bound; one insert performs
-// at most evictBatch removals under the shard mutex, so no caller stalls
-// behind an O(cache) sweep.
+// Eviction is per-shard LRU with a hard total bound; an insert into a full
+// shard drops exactly its least recently used entry under the shard mutex,
+// so no caller stalls behind an O(cache) sweep. The bound counts entries,
+// so an entry's bytes are what a full cache costs: each shard keeps its
+// entries in one slice linked by index, with the value stored unboxed, and
+// keys are built from raw 32-byte digests (key.go).
 package evalcache
 
 import (
@@ -62,20 +65,60 @@ const (
 	maxPools = 8
 )
 
-// evictBatch bounds evictions per insert under the shard mutex (same
-// rationale as the server's response cache).
-const evictBatch = 8
-
-type entry struct {
-	key string
-	val any // float64 (fitness) or cachesim.Stats (stats)
+// node is one cached entry in its shard's recency list. A fitness entry
+// keeps its value in fit; a stats entry points at its statistics.
+type node struct {
+	key        string
+	prev, next int32 // neighbours toward the most / least recently used end
+	fit        float64
+	stats      *cachesim.Stats
 }
+
+// none marks the end of a shard's recency list.
+const none = -1
 
 type shard struct {
 	mu    sync.Mutex
 	max   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	items map[string]int32 // key → index into nodes
+	nodes []node
+	// head is the most and tail the least recently used node.
+	head, tail int32
+}
+
+// unlink removes node i from the recency list.
+func (s *shard) unlink(i int32) {
+	n := &s.nodes[i]
+	if n.prev != none {
+		s.nodes[n.prev].next = n.next
+	} else {
+		s.head = n.next
+	}
+	if n.next != none {
+		s.nodes[n.next].prev = n.prev
+	} else {
+		s.tail = n.prev
+	}
+}
+
+// pushFront links node i in as the most recently used.
+func (s *shard) pushFront(i int32) {
+	n := &s.nodes[i]
+	n.prev, n.next = none, s.head
+	if s.head != none {
+		s.nodes[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
+}
+
+// touch marks node i most recently used.
+func (s *shard) touch(i int32) {
+	if s.head != i {
+		s.unlink(i)
+		s.pushFront(i)
+	}
 }
 
 // Cache is the shared evaluation cache. The zero value is not usable;
@@ -128,7 +171,7 @@ func New(cfg Config) *Cache {
 		poolOrder: list.New(),
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{max: perShard, order: list.New(), items: make(map[string]*list.Element)}
+		c.shards[i] = &shard{max: perShard, items: make(map[string]int32), head: none, tail: none}
 	}
 	return c
 }
@@ -138,14 +181,14 @@ func (c *Cache) shardOf(key string) *shard {
 }
 
 // get looks key up in its shard and refreshes recency on a hit.
-func (c *Cache) get(key, tier string) (any, bool) {
+func (c *Cache) get(key, tier string) (node, bool) {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	el, ok := s.items[key]
-	var v any
+	i, ok := s.items[key]
+	var n node
 	if ok {
-		s.order.MoveToFront(el)
-		v = el.Value.(*entry).val
+		s.touch(i)
+		n = s.nodes[i]
 	}
 	s.mu.Unlock()
 	if ok {
@@ -154,70 +197,80 @@ func (c *Cache) get(key, tier string) (any, bool) {
 			c.obs.Event(telemetry.EvalCacheHit{Tier: tier})
 			c.obs.Add(telemetry.Counters{EvalCacheHits: 1})
 		}
-		return v, true
+		return n, true
 	}
 	c.misses.Add(1)
 	if c.obs != nil {
 		c.obs.Event(telemetry.EvalCacheMiss{Tier: tier})
 		c.obs.Add(telemetry.Counters{EvalCacheMisses: 1})
 	}
-	return nil, false
+	return node{}, false
 }
 
-// put stores val under key; an existing key is updated in place. At most
-// evictBatch least-recently-used entries are dropped while the shard is
-// over its bound.
-func (c *Cache) put(key string, val any) {
+// put stores the value of n under key; an existing key is updated in
+// place. A new key in a full shard takes the slot of the least recently
+// used entry, which is evicted.
+func (c *Cache) put(key string, n node) {
 	s := c.shardOf(key)
 	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*entry).val = val
-		s.order.MoveToFront(el)
+	if i, ok := s.items[key]; ok {
+		s.nodes[i].fit, s.nodes[i].stats = n.fit, n.stats
+		s.touch(i)
 		s.mu.Unlock()
 		return
 	}
-	s.items[key] = s.order.PushFront(&entry{key: key, val: val})
-	evicted := 0
-	for evicted < evictBatch && s.order.Len() > s.max {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*entry).key)
-		evicted++
+	n.key = key
+	evicted := len(s.items) >= s.max
+	var slot int32
+	if evicted {
+		slot = s.tail
+		s.unlink(slot)
+		delete(s.items, s.nodes[slot].key)
+		s.nodes[slot] = n
+	} else {
+		if len(s.nodes) == cap(s.nodes) {
+			// Grow by doubling, but never past the bound: a full shard
+			// holds exactly max nodes.
+			grown := make([]node, len(s.nodes), min(max(2*cap(s.nodes), 16), s.max))
+			copy(grown, s.nodes)
+			s.nodes = grown
+		}
+		slot = int32(len(s.nodes))
+		s.nodes = append(s.nodes, n)
 	}
+	s.items[key] = slot
+	s.pushFront(slot)
 	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
+	if evicted {
+		c.evictions.Add(1)
 		if c.obs != nil {
-			c.obs.Event(telemetry.EvalCacheEvict{Evicted: evicted})
-			c.obs.Add(telemetry.Counters{EvalCacheEvictions: uint64(evicted)})
+			c.obs.Event(telemetry.EvalCacheEvict{Evicted: 1})
+			c.obs.Add(telemetry.Counters{EvalCacheEvictions: 1})
 		}
 	}
 }
 
 // GetFitness recalls a finished GA objective value.
 func (c *Cache) GetFitness(key string) (float64, bool) {
-	v, ok := c.get("f:"+key, "fitness")
-	if !ok {
-		return 0, false
-	}
-	return v.(float64), true
+	n, ok := c.get("f:"+key, "fitness")
+	return n.fit, ok
 }
 
 // PutFitness stores a finished GA objective value. Callers filter out
 // sentinel values (quarantine fitness, ±Inf, NaN) before storing.
-func (c *Cache) PutFitness(key string, v float64) { c.put("f:"+key, v) }
+func (c *Cache) PutFitness(key string, v float64) { c.put("f:"+key, node{fit: v}) }
 
 // GetStats recalls finalized per-tile classification statistics.
 func (c *Cache) GetStats(key string) (cachesim.Stats, bool) {
-	v, ok := c.get("s:"+key, "stats")
+	n, ok := c.get("s:"+key, "stats")
 	if !ok {
 		return cachesim.Stats{}, false
 	}
-	return v.(cachesim.Stats), true
+	return *n.stats, true
 }
 
 // PutStats stores finalized per-tile classification statistics.
-func (c *Cache) PutStats(key string, st cachesim.Stats) { c.put("s:"+key, st) }
+func (c *Cache) PutStats(key string, st cachesim.Stats) { c.put("s:"+key, node{stats: &st}) }
 
 // CheckoutPool removes and returns the parked analyzer pool for key, if
 // any. Removal (not sharing) keeps analyzers single-owner: concurrent
@@ -287,7 +340,7 @@ func (c *Cache) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.order.Len()
+		n += len(s.items)
 		s.mu.Unlock()
 	}
 	return n

@@ -2,6 +2,7 @@ package evalcache
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -211,5 +212,74 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > 256+len(c.shards) {
 		t.Fatalf("bound violated under concurrency: %d", n)
+	}
+}
+
+// TestLRUMatchesModel drives one shard with a random mix of gets, puts
+// and overwrites across both tiers and checks every answer, the live
+// entry count and the eviction count against a plain LRU list model.
+func TestLRUMatchesModel(t *testing.T) {
+	const max = 24
+	c := New(Config{MaxEntries: max, Shards: 1})
+	type item struct {
+		key string
+		val float64
+	}
+	var model []item // front = most recently used
+	find := func(key string) int {
+		for i, it := range model {
+			if it.key == key {
+				return i
+			}
+		}
+		return -1
+	}
+	var evictions uint64
+	r := rand.New(rand.NewPCG(8, 9))
+	for op := 0; op < 20000; op++ {
+		tier := "f:"
+		if r.IntN(3) == 0 {
+			tier = "s:"
+		}
+		k := fmt.Sprintf("k%d", r.IntN(40))
+		key := tier + k
+		i := find(key)
+		if r.IntN(2) == 0 {
+			var got float64
+			var ok bool
+			if tier == "f:" {
+				got, ok = c.GetFitness(k)
+			} else {
+				var st cachesim.Stats
+				st, ok = c.GetStats(k)
+				got = float64(st.Accesses)
+			}
+			if ok != (i >= 0) || (ok && got != model[i].val) {
+				t.Fatalf("op %d: get %s = %v, %v; model has index %d", op, key, got, ok, i)
+			}
+			if i >= 0 {
+				it := model[i]
+				model = append(append([]item{it}, model[:i]...), model[i+1:]...)
+			}
+		} else {
+			v := float64(op)
+			if tier == "f:" {
+				c.PutFitness(k, v)
+			} else {
+				c.PutStats(k, cachesim.Stats{Accesses: uint64(op)})
+			}
+			if i >= 0 {
+				model = append(model[:i], model[i+1:]...)
+			}
+			model = append([]item{{key, v}}, model...)
+			if len(model) > max {
+				model = model[:max]
+				evictions++
+			}
+		}
+		if c.Len() != len(model) || c.Metrics().Evictions != evictions {
+			t.Fatalf("op %d: cache holds %d entries after %d evictions; model %d after %d",
+				op, c.Len(), c.Metrics().Evictions, len(model), evictions)
+		}
 	}
 }

@@ -1,13 +1,15 @@
 // Canonical hashing for shared-cache keys. Every key the cache sees is
 // derived from content, never from pointers: two requests that describe
 // the same loop nest, cache geometry and sample set map to the same
-// scope no matter which process lifetime or goroutine built them.
+// scope no matter which process lifetime or goroutine built them. Keys
+// are raw 32-byte SHA-256 digests held in a string, not hex text: they
+// are only ever compared and hashed, and half the bytes is half the key
+// memory every cached entry carries.
 package evalcache
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"hash"
 	"io"
 
@@ -49,7 +51,7 @@ func (w *hashWriter) affine(a expr.Affine) {
 	w.i64s(a.Coeffs)
 }
 
-func (w *hashWriter) sum() string { return hex.EncodeToString(w.h.Sum(nil)) }
+func (w *hashWriter) sum() string { return string(w.h.Sum(nil)) }
 
 // NestKey returns a canonical content hash of a loop nest: name, loop
 // bounds and steps, every referenced array's geometry (including padding

@@ -141,6 +141,13 @@ func (t *PermutedTiled) Prev(p []int64) bool {
 	return false
 }
 
+// InnerRun implements Space: the innermost element loop (always original
+// dimension k-1) runs down to the start of its tile.
+func (t *PermutedTiled) InnerRun(p []int64) int64 {
+	k := t.k()
+	return p[2*k-1] - p[t.inv[k-1]]
+}
+
 // Contains implements Space.
 func (t *PermutedTiled) Contains(p []int64) bool {
 	k := t.k()

@@ -74,6 +74,12 @@ func (b *PermutedBox) Prev(p []int64) bool {
 	return false
 }
 
+// InnerRun implements Space.
+func (b *PermutedBox) InnerRun(p []int64) int64 {
+	last := len(p) - 1
+	return p[last] - b.Box.Lo[b.Order[last]]
+}
+
 // Contains implements Space.
 func (b *PermutedBox) Contains(p []int64) bool {
 	for pos, d := range b.Order {

@@ -95,3 +95,44 @@ func TestQuickOrigMapConsistent(t *testing.T) {
 		}
 	}
 }
+
+// Property: InnerRun(p) counts exactly the Prev calls from p that only
+// decrement the last coordinate; the next Prev either fails or moves
+// another coordinate.
+func TestQuickInnerRun(t *testing.T) {
+	box := NewBox([]int64{1, 0, 2}, []int64{9, 7, 6})
+	spaces := []Space{
+		box,
+		NewTiled(box, []int64{4, 3, 2}),
+		NewTiled(box, []int64{9, 8, 5}),
+		NewPermutedTiled(box, []int64{2, 7, 3}, []int{2, 0, 1}),
+		NewPermutedTiled(box, []int64{1, 1, 1}, []int{1, 2, 0}),
+		NewPermutedBox(box, []int{1, 2, 0}),
+	}
+	r := rand.New(rand.NewPCG(77, 78))
+	for si, sp := range spaces {
+		p := make([]int64, sp.NumCoords())
+		q := make([]int64, sp.NumCoords())
+		last := len(p) - 1
+		for iter := 0; iter < 300; iter++ {
+			sp.Sample(r, p)
+			run := sp.InnerRun(p)
+			if run < 0 {
+				t.Fatalf("space %d: InnerRun(%v) = %d", si, p, run)
+			}
+			copy(q, p)
+			for j := int64(1); j <= run; j++ {
+				if !sp.Prev(q) {
+					t.Fatalf("space %d: Prev failed %d steps into a run of %d from %v", si, j, run, p)
+				}
+				if q[last] != p[last]-j || Compare(q[:last], p[:last]) != 0 {
+					t.Fatalf("space %d: step %d of run %d from %v reached %v", si, j, run, p, q)
+				}
+			}
+			before := append([]int64(nil), q...)
+			if sp.Prev(q) && Compare(q[:last], before[:last]) == 0 {
+				t.Fatalf("space %d: run from %v is longer than InnerRun=%d", si, p, run)
+			}
+		}
+	}
+}

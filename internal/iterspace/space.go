@@ -31,6 +31,11 @@ type Space interface {
 	Next(p []int64) bool
 	// Prev moves p to the previous point; false at the beginning.
 	Prev(p []int64) bool
+	// InnerRun returns how many consecutive Prev calls from p only
+	// decrement the last coordinate by one: the points of the innermost
+	// loop's current run that precede p. A backward walk can cross them
+	// in one jump.
+	InnerRun(p []int64) int64
 	// Contains reports whether p is a valid point of the space.
 	Contains(p []int64) bool
 	// Count returns the total number of points.
@@ -113,6 +118,12 @@ func (b *Box) Prev(p []int64) bool {
 		p[d] = b.Hi[d]
 	}
 	return false
+}
+
+// InnerRun implements Space.
+func (b *Box) InnerRun(p []int64) int64 {
+	last := len(p) - 1
+	return p[last] - b.Lo[last]
 }
 
 // Contains implements Space.

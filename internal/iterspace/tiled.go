@@ -124,6 +124,13 @@ func (t *Tiled) Prev(p []int64) bool {
 	return false
 }
 
+// InnerRun implements Space: the innermost element loop runs down to the
+// start of its tile.
+func (t *Tiled) InnerRun(p []int64) int64 {
+	k := t.k()
+	return p[2*k-1] - p[k-1]
+}
+
 // Contains implements Space.
 func (t *Tiled) Contains(p []int64) bool {
 	k := t.k()

@@ -10,7 +10,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -262,7 +261,9 @@ func (s *Sample) Range(lo, hi int) *Sample {
 // geometry, sample, genome), the fingerprint is what makes sampled
 // evaluation results safely shareable across searches and requests — two
 // searches over the same nest that drew the same sample may exchange
-// results no matter which seeds or budgets drove them.
+// results no matter which seeds or budgets drove them. The fingerprint is
+// the raw 32-byte SHA-256 digest, not hex text, since it only ever keys
+// a cache.
 func (s *Sample) Fingerprint() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -277,7 +278,7 @@ func (s *Sample) Fingerprint() string {
 			w(c)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return string(h.Sum(nil))
 }
 
 // Evaluate classifies every reference at every sampled point under the
